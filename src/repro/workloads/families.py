@@ -25,12 +25,13 @@ workers resolve the same names.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator, List
 
 import numpy as np
 
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthetic import WarpTrace, zipf_pmf
+from repro.workloads.synthetic import WarpTrace, choice_cdf, zipf_pmf
 
 
 def _apki_gaps(rng: np.random.Generator, apki: float, n: int) -> np.ndarray:
@@ -225,7 +226,7 @@ class PointerChaseGenerator:
         # Hub skew: restarts prefer low Zipf ranks; a fixed permutation
         # decouples rank from arena position.
         hub_ranks = min(self.num_nodes, 4096)
-        self._hub_pmf = zipf_pmf(hub_ranks, spec.zipf_alpha)
+        self._hub_cdf = choice_cdf(zipf_pmf(hub_ranks, spec.zipf_alpha))
         self._hub_of_rank = np.random.default_rng(seed).permutation(self.num_nodes)[
             :hub_ranks
         ]
@@ -268,7 +269,7 @@ class PointerChaseGenerator:
                 filled += 1
                 hops += 1
                 if hops >= self.chain_length:
-                    rank = int(rng.choice(len(self._hub_pmf), p=self._hub_pmf))
+                    rank = bisect_right(self._hub_cdf, rng.random())
                     node = int(self._hub_of_rank[rank])
                     hops = 0
                 else:

@@ -10,6 +10,7 @@ read ratio).  Generation is deterministic per (workload, warp, seed).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional
@@ -124,6 +125,21 @@ def zipf_pmf(num_items: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def choice_cdf(pmf: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(n, p=pmf)`` samples from, as a list.
+
+    numpy's ``choice`` with ``p`` (and ``replace=True``) takes
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``, draws one ``random()`` and
+    returns ``cdf.searchsorted(u, side="right")``.  So
+    ``bisect.bisect_right(choice_cdf(pmf), rng.random())`` yields the
+    same rank and leaves the generator in the same state, without
+    ``choice``'s per-call validation and cumulative sum.
+    """
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class SyntheticTraceGenerator:
     """Builds per-warp traces for a workload over a scaled footprint."""
 
@@ -144,7 +160,7 @@ class SyntheticTraceGenerator:
         self.num_pages = footprint_bytes // page_bytes
         self.lines_per_page = page_bytes // line_bytes
         self.seed = seed
-        self._pmf = zipf_pmf(self.num_pages, spec.zipf_alpha)
+        self._rank_cdf = choice_cdf(zipf_pmf(self.num_pages, spec.zipf_alpha))
         # Random permutations decouple popularity rank from address, so
         # hot pages spread across controllers and groups.  The hot set
         # *drifts*: a fresh permutation applies each epoch, modelling
@@ -203,7 +219,7 @@ class SyntheticTraceGenerator:
                 filled += 1
             else:
                 epoch = min(filled // epoch_len, self.num_epochs - 1)
-                rank = rng.choice(self.num_pages, p=self._pmf)
+                rank = bisect_right(self._rank_cdf, rng.random())
                 page = int(self._page_of_rank_by_epoch[epoch][rank])
                 run = min(int(rng.geometric(run_p)), num_accesses - filled)
                 start_line = int(rng.integers(self.lines_per_page))

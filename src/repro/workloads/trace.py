@@ -1,7 +1,8 @@
 """Memory-trace format: record any simulation, replay it as a workload.
 
 The format is compact JSONL (gzip-compressed when the path ends in
-``.gz``):
+``.gz``; written at level 1 with a header that holds no file name or
+mtime, so equal traces give byte-identical files):
 
 * **line 1** — a header object: ``format`` (``"repro-trace"``),
   ``version``, the originating ``workload``/``platform``/``mode``,
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Union
@@ -156,10 +159,29 @@ class TraceRecorder:
         return traces
 
 
-def _open_for_write(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "wt", encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+#: zlib level for ``.gz`` traces.  On 3.2-3.4 MB spills, level 9 takes
+#: 17-30x as long as level 1 (0.85 s vs 0.03-0.05 s) for a file only
+#: 1.15-2x smaller, and every process that streams a large job writes
+#: its spills anew.
+_GZIP_LEVEL = 1
+
+
+@contextmanager
+def _open_for_write(path: Path) -> Iterator[IO[str]]:
+    """Text handle on ``path``; gzip with reproducible bytes for ``.gz``.
+
+    The gzip header gets no file name and a zero mtime, so equal traces
+    give equal files (and equal ``trace_file_digest``) whenever and
+    wherever they are written.
+    """
+    if path.suffix != ".gz":
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    with open(path, "wb") as raw, gzip.GzipFile(
+        filename="", fileobj=raw, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0
+    ) as gz, io.TextIOWrapper(gz, encoding="utf-8") as fh:
+        yield fh
 
 
 def _open_for_read(path: Path):

@@ -2,11 +2,12 @@
 
 import gzip
 import json
+import time
 
 import numpy as np
 import pytest
 
-from repro.config import MemoryMode
+from repro.config import MB, MemoryMode
 from repro.harness.cache import job_fingerprint
 from repro.harness.executor import (
     RunConfig,
@@ -14,7 +15,7 @@ from repro.harness.executor import (
     execute_job,
     execute_job_recorded,
 )
-from repro.workloads.registry import get_workload, get_workload_def
+from repro.workloads.registry import build_traces, get_workload, get_workload_def
 from repro.workloads.synthetic import WarpTrace
 from repro.workloads.trace import (
     TraceFormatError,
@@ -22,6 +23,7 @@ from repro.workloads.trace import (
     TraceRecorder,
     load_traces,
     save_traces,
+    trace_file_digest,
     trace_path_of,
 )
 
@@ -77,6 +79,19 @@ class TestFormatRoundTrip:
         with gzip.open(path, "rt") as fh:
             header = json.loads(fh.readline())
         assert header["format"] == "repro-trace"
+
+    def test_gzip_bytes_reproducible(self, tmp_path, monkeypatch):
+        # Equal traces saved at different times to different paths give
+        # equal files, so a re-recorded trace keeps its cache digest.
+        traces = build_traces(
+            "backp", footprint_bytes=8 * MB, num_warps=4, accesses_per_warp=64
+        )
+        meta = meta_for(traces)
+        digests = []
+        for clock, name in ((1.0e9, "a.jsonl.gz"), (2.0e9, "b.jsonl.gz")):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            digests.append(trace_file_digest(save_traces(tmp_path / name, meta, traces)))
+        assert digests[0] == digests[1]
 
     def test_warp_count_mismatch_rejected_on_save(self, tmp_path):
         traces = small_traces(3)

@@ -1,13 +1,22 @@
 """Workload tests: Table II specs, synthetic and graph trace shapes."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MB
 from repro.workloads.graphs import GraphTraceGenerator, build_scale_free_csr
 from repro.workloads.registry import WORKLOADS, generate_traces, get_workload, make_generator
 from repro.workloads.spec import TABLE2, WorkloadSpec
-from repro.workloads.synthetic import SyntheticTraceGenerator, WarpTrace, zipf_pmf
+from repro.workloads.synthetic import (
+    SyntheticTraceGenerator,
+    WarpTrace,
+    choice_cdf,
+    zipf_pmf,
+)
 
 FOOTPRINT = 8 * MB
 
@@ -65,6 +74,25 @@ class TestZipf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             zipf_pmf(0, 1.0)
+
+    @given(
+        n=st.integers(1, 5000),
+        alpha=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(1, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cdf_draws_match_numpy_choice(self, n, alpha, seed, draws):
+        # The generators' rank draws must stay draw-for-draw identical
+        # to Generator.choice, the sampler the frozen digests were made
+        # with: same ranks and the same RNG state afterwards.
+        pmf = zipf_pmf(n, alpha)
+        cdf = choice_cdf(pmf)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [bisect_right(cdf, ours.random()) for _ in range(draws)]
+        want = [int(ref.choice(n, p=pmf)) for _ in range(draws)]
+        assert got == want
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestSyntheticTraces:
