@@ -11,9 +11,12 @@ DMA vs DRAM-access time plus the DMA energy fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import GB, SystemConfig
-from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.workloads.spec import WorkloadSpec
 
 
 @dataclass(frozen=True)

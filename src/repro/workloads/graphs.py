@@ -12,10 +12,11 @@ irregular gather that gives graph workloads their high APKI and skew
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Iterator, List
+from functools import lru_cache
+from typing import Iterator, List, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.workloads.spec import WorkloadSpec
@@ -51,7 +52,35 @@ class CsrLayout:
         return self.aux_base + v * self.vertex_stride
 
 
-from functools import lru_cache
+def barabasi_albert_adjacency(n: int, m: int, seed: int) -> List[Set[int]]:
+    """Barabási–Albert preferential attachment as adjacency sets.
+
+    A stdlib port of the reference ``barabasi_albert_graph(n, m,
+    seed)`` generator: the same ``random.Random(seed)`` draws in the
+    same order, so the edge set is identical (the frozen CSR digests in
+    ``tests/data/ba_csr_digests.json`` were computed with the
+    reference).  Growth starts from the star graph on ``m + 1`` nodes
+    (hub 0); every later node attaches ``m`` distinct targets drawn
+    uniformly from a list holding each node once per incident edge,
+    i.e. proportionally to degree.
+    """
+    rng = random.Random(seed)
+    adj: List[Set[int]] = [set() for _ in range(n)]
+    adj[0].update(range(1, m + 1))
+    for spoke in range(1, m + 1):
+        adj[spoke].add(0)
+    repeated_nodes = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: Set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated_nodes))
+        adj[source].update(targets)
+        for target in targets:
+            adj[target].add(source)
+        # Set iteration order feeds later draws, as in the reference.
+        repeated_nodes.extend(targets)
+        repeated_nodes.extend([source] * m)
+    return adj
 
 
 @lru_cache(maxsize=8)
@@ -65,12 +94,11 @@ def build_scale_free_csr(
     """Barabási–Albert graph in CSR form, fitted into the footprint."""
     if num_vertices < attach_edges + 1:
         raise ValueError("graph too small for the attachment parameter")
-    graph = nx.barabasi_albert_graph(num_vertices, attach_edges, seed=seed)
+    adjacency = barabasi_albert_adjacency(num_vertices, attach_edges, seed)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     indices_list: List[int] = []
-    for v in range(num_vertices):
-        neighbours = sorted(graph.neighbors(v))
-        indices_list.extend(neighbours)
+    for v, neighbours in enumerate(adjacency):
+        indices_list.extend(sorted(neighbours))
         indptr[v + 1] = len(indices_list)
     indices = np.asarray(indices_list, dtype=np.int64)
     # A realistic property record (rank/level/degree/flags + padding)

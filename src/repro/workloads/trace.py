@@ -41,6 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Union
+from weakref import finalize
 
 import numpy as np
 
@@ -255,6 +256,10 @@ class _TraceDemux:
 
     Truncation fails loudly on both formats: v1 requires exactly
     ``num_warps`` records by EOF, v2 requires every warp's end marker.
+
+    The demux owns ``fh``: it closes it at EOF, on a format error, or
+    when the demux is garbage-collected part-way (a consumer that stops
+    pulling), whichever comes first.
     """
 
     def __init__(
@@ -266,6 +271,10 @@ class _TraceDemux:
         streams: Optional[List[WarpStream]] = None,
     ) -> None:
         self._fh: Optional[IO[str]] = fh
+        # A weakref callback, unlike __del__, runs before the garbage
+        # collector finalizes the handle itself when the demux dies in
+        # a reference cycle (demux -> streams -> block iterators).
+        self._close_fh = finalize(self, fh.close)
         self._num_warps = num_warps
         self._version = version
         self._label = label
@@ -281,16 +290,15 @@ class _TraceDemux:
         return queue.popleft() if queue else None
 
     def _close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
+        self._fh = None
+        self._close_fh()
 
     def _read_record(self) -> None:
         assert self._fh is not None
         try:
             line = self._fh.readline()
         except (EOFError, UnicodeDecodeError) as exc:
-            self._fh = None
+            self._close()
             raise TraceFormatError(
                 f"{self._label}: not a readable trace file ({exc})"
             ) from None

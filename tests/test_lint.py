@@ -37,12 +37,15 @@ MARKER_FILES = [
     "workloads/determinism.py",  # R3 trigger
     "gpu/audit_branch.py",  # R4 trigger
     "harness/pickle_jobs.py",  # R5 trigger
+    "core/layering.py",  # R6 trigger
 ]
 # Fixture files that must come back with zero unsuppressed findings.
 CLEAN_FILES = [
     "sim/reporting.py",  # same formatting as engine.py, not registered hot
     "harness/clocky.py",  # wall clock under the harness exemption
     "gpu/pragmas.py",  # violations excused by reasoned pragmas
+    "core/layering_ok.py",  # TYPE_CHECKING / function-local upward imports
+    "gpu/stream_consumer.py",  # gpu/ is not a lower layer
 ]
 
 
@@ -86,7 +89,7 @@ def test_non_trigger_fixtures_are_clean(corpus, rel):
 
 def test_every_rule_fires_somewhere_in_the_corpus(corpus):
     fired = {f.rule for f in corpus.findings}
-    assert set(RULES) <= fired  # R1..R5 all have a live trigger fixture
+    assert set(RULES) <= fired  # R1..R6 all have a live trigger fixture
     assert PRAGMA_RULE_ID in fired  # pragma_bad.py keeps R0 honest
 
 
@@ -146,7 +149,7 @@ def test_subtree_scan_keeps_package_context():
 
 
 def test_rule_registry_shape():
-    assert set(RULES) == {"R1", "R2", "R3", "R4", "R5"}
+    assert set(RULES) == {"R1", "R2", "R3", "R4", "R5", "R6"}
     assert PRAGMA_RULE_ID not in RULES  # the meta rule is not suppressible
     names = [r.name for r in RULES.values()]
     assert len(names) == len(set(names))
@@ -177,9 +180,9 @@ def test_cli_json_format():
     proc = _reprolint("--format", "json", str(FIXTURES))
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
-    assert payload["files_checked"] == 9
+    assert payload["files_checked"] == 12
     rules_seen = {f["rule"] for f in payload["findings"]}
-    assert rules_seen == {"R0", "R1", "R2", "R3", "R4", "R5"}
+    assert rules_seen == {"R0", "R1", "R2", "R3", "R4", "R5", "R6"}
     assert all(s["reason"] for s in payload["suppressed"])
 
 

@@ -9,11 +9,13 @@ consumer of warp accesses speaks the bounded-lookahead block iterator
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -239,6 +241,26 @@ def test_stdin_source_is_single_shot(tmp_path):
         source.streams()
         with pytest.raises(RuntimeError, match="once"):
             source.streams()
+
+
+def test_reader_closes_its_file_handles(tmp_path, monkeypatch):
+    """A drained source and one abandoned part-way both close their
+    handles: collecting the readers raises no ResourceWarning."""
+    path = tmp_path / "t.jsonl"
+    save_stream(path, _meta(WARPS), _small_source("pagerank"))
+    # A warning raised while an object is collected surfaces here, not
+    # as an exception in the test.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        materialize(FileTraceSource(path))
+        abandoned = FileTraceSource(path)
+        assert abandoned.streams()[0].next_block() is not None
+        assert next(abandoned.blocks(1)) is not None
+        del abandoned
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Workload tests: Table II specs, synthetic and graph trace shapes."""
 
+import hashlib
+import json
+import pathlib
 from bisect import bisect_right
 
 import numpy as np
@@ -19,6 +22,14 @@ from repro.workloads.synthetic import (
 )
 
 FOOTPRINT = 8 * MB
+
+#: sha256 of each Barabási–Albert CSR (``indptr`` then ``indices`` as
+#: little-endian int64), keyed ``n=<vertices>,seed=<seed>`` at m = 4.
+#: Computed with networkx 3.6.1's ``barabasi_albert_graph``, which
+#: ``graphs.barabasi_albert_adjacency`` ports; never regenerate them.
+BA_CSR_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "ba_csr_digests.json").read_text()
+)
 
 
 class TestTable2:
@@ -153,6 +164,15 @@ class TestGraphTraces:
         assert csr.indptr[-1] == len(csr.indices)
         # All neighbour ids valid.
         assert (csr.indices >= 0).all() and (csr.indices < 256).all()
+
+    @pytest.mark.parametrize("key", sorted(BA_CSR_DIGESTS))
+    def test_csr_matches_networkx_digest(self, key):
+        n, seed = (int(part.split("=")[1]) for part in key.split(","))
+        csr = build_scale_free_csr(n, 1 << 30, 128, seed=seed)
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(csr.indptr, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(csr.indices, dtype="<i8").tobytes())
+        assert h.hexdigest() == BA_CSR_DIGESTS[key]
 
     def test_csr_capacity_check(self):
         with pytest.raises(ValueError):

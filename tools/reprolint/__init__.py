@@ -3,7 +3,7 @@
 The repo's correctness story rests on conventions DESIGN.md states as
 prose — §7's hot-path rules, §10.2's zero-cost audit placement, and
 the determinism contract behind every golden fingerprint.  reprolint
-makes them mechanical: five repo-specific rules (R1–R5) over a plain
+makes them mechanical: six repo-specific rules (R1–R6) over a plain
 ``ast`` walk, with mandatory-reason ``# reprolint: allow(...)``
 pragmas, a gating CI job, and ``repro lint`` / ``python -m
 tools.reprolint`` entry points.  The generic layer (unused imports,

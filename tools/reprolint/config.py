@@ -3,8 +3,9 @@
 This module is the *registry* the ISSUE/DESIGN.md rules talk about —
 which modules are registered hot paths (R1), which base classes excuse
 a slotless class (R2), which calls are wall-clock/entropy (R3), which
-method names count as construction time (R4), and which constructors
-build objects that cross the executor pickle boundary (R5).
+method names count as construction time (R4), which constructors
+build objects that cross the executor pickle boundary (R5), and which
+packages sit below which in the import graph (R6).
 
 Everything is carried on a :class:`LintConfig` value so the test suite
 can lint fixture files under a synthetic configuration; the module
@@ -127,6 +128,23 @@ PICKLE_BOUNDARY_CALLS: FrozenSet[str] = frozenset({
 })
 
 
+# --------------------------------------------------------------------------
+# R6 — layering.  The model packages sit below the workload, harness,
+# scenario and CLI layers, so the memory core boots without them (and
+# without numpy).  A module-level import from a lower package of
+# ``LAYER_PACKAGE`` into an upper one is a finding; imports under
+# ``if TYPE_CHECKING:`` never run and function-local imports run at
+# call time, so both are exempt.  gpu/ is deliberately not a lower
+# layer yet: its warps consume workloads.source's WarpStream /
+# TraceSource at runtime.
+LAYER_PACKAGE = "repro"
+LOWER_LAYERS: Tuple[str, ...] = (
+    "core", "dram", "xpoint", "optical", "channel",
+    "sim", "hetero", "hoststorage",
+)
+UPPER_LAYERS: Tuple[str, ...] = ("workloads", "harness", "scenarios", "cli")
+
+
 @dataclass(frozen=True)
 class LintConfig:
     """One linting policy; defaults are the production src/repro policy."""
@@ -146,6 +164,8 @@ class LintConfig:
     construction_names: FrozenSet[str] = CONSTRUCTION_NAMES
     construction_prefixes: Tuple[str, ...] = CONSTRUCTION_PREFIXES
     pickle_boundary_calls: FrozenSet[str] = PICKLE_BOUNDARY_CALLS
+    lower_layers: Tuple[str, ...] = LOWER_LAYERS
+    upper_layers: Tuple[str, ...] = UPPER_LAYERS
 
     def is_hot(self, rel: str) -> bool:
         return rel in self.hot_modules

@@ -1,4 +1,4 @@
-"""The five reprolint rules (R1–R5).
+"""The six reprolint rules (R1–R6).
 
 Each rule is a function over a :class:`~tools.reprolint.core.LintContext`
 yielding :class:`~tools.reprolint.core.Finding`s; registration happens
@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
+from tools.reprolint.config import LAYER_PACKAGE
 from tools.reprolint.core import Finding, LintContext, rule
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -328,3 +329,67 @@ def check_pickle_boundary(ctx: LintContext) -> Iterator[Finding]:
                         f"closure-local function {sub.id!r} inside "
                         f"{ctor}(...) cannot cross the executor pickle "
                         "boundary — hoist it to module level")
+
+
+# --------------------------------------------------------------------------
+def _under_type_checking(ctx: LintContext, node: ast.AST) -> bool:
+    """True if ``node`` sits in the body of an ``if TYPE_CHECKING:``."""
+    child = node
+    for anc in ctx.file.ancestors(node):
+        if isinstance(anc, ast.If) and child in anc.body:
+            name = _dotted(anc.test)
+            if name is not None and name.rsplit(".", 1)[-1] == "TYPE_CHECKING":
+                return True
+        child = anc
+    return False
+
+
+def _imported_packages(ctx: LintContext, node: ast.AST) -> Iterator[str]:
+    """First component below the layer package of each imported module."""
+    root = LAYER_PACKAGE
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif node.level:
+        # Relative: resolve against the file's own package path.
+        here = [root] + ctx.file.rel.split("/")[:-1]
+        base = here[: max(len(here) - node.level + 1, 0)]
+        modules = [".".join(base + ([node.module] if node.module else []))]
+    else:
+        modules = [node.module or ""]
+    for module in modules:
+        parts = module.split(".")
+        if parts[0] != root:
+            continue
+        if len(parts) > 1:
+            yield parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from repro import workloads`` names the package itself.
+            yield from (alias.name for alias in node.names)
+
+
+@rule(
+    "R6", "layering",
+    "no module-level import from a model package (core/ dram/ xpoint/ "
+    "optical/ channel/ sim/ hetero/ hoststorage/) into workloads/ "
+    "harness/ scenarios/ cli — imports point down the layer stack; "
+    "`if TYPE_CHECKING:` imports are exempt",
+    "§15.2 layer table",
+)
+def check_layering(ctx: LintContext) -> Iterator[Finding]:
+    cfg = ctx.config
+    rel = ctx.file.rel
+    if not cfg.in_packages(rel, cfg.lower_layers):
+        return
+    for node in ast.walk(ctx.file.tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if _enclosing_functions(ctx, node) or _under_type_checking(ctx, node):
+            continue
+        for package in _imported_packages(ctx, node):
+            if package in cfg.upper_layers:
+                yield Finding(rel, node.lineno, "R6",
+                              f"module-level import of upper layer "
+                              f"{LAYER_PACKAGE}.{package} from "
+                              f"{rel.split('/', 1)[0]}/ — import it under "
+                              "TYPE_CHECKING or inside the function that "
+                              "needs it")
