@@ -15,6 +15,7 @@ data route is exactly what distinguishes the platforms.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.channel.base import ChannelPort, RouteKind
@@ -62,6 +63,79 @@ def _dram_constant_pack(dram: DramDevice) -> Optional[tuple]:
     )
 
 
+def _fold_dram(dc: list, dcd, k_acc, k_wr, k_rd, k_hit, k_act) -> None:
+    """Fold a fast serve's batched DRAM outcomes into the device counters.
+
+    ``dc[2:6]`` are the read row-hit, read activation, write row-hit
+    and write activation counts every slice fast serve batches.  The
+    guards keep never-incremented keys out of the shared defaultdict
+    (adding 0 would materialize them at 0.0).
+    """
+    rd_hit, rd_act, wr_hit, wr_act = dc[2], dc[3], dc[4], dc[5]
+    if rd_hit or rd_act or wr_hit or wr_act:
+        dc[2] = dc[3] = dc[4] = dc[5] = 0
+        dcd[k_acc] += rd_hit + rd_act + wr_hit + wr_act
+        reads = rd_hit + rd_act
+        if reads:
+            dcd[k_rd] += reads
+        writes = wr_hit + wr_act
+        if writes:
+            dcd[k_wr] += writes
+        row_hits = rd_hit + wr_hit
+        if row_hits:
+            dcd[k_hit] += row_hits
+        activations = rd_act + wr_act
+        if activations:
+            dcd[k_act] += activations
+
+
+def _flush_optical_pairs(
+    dc: list, counters, k_route, k_bits, k_busy, k_tr, bits_pair, dram_keys
+) -> None:
+    """Flush hook of the optical fast serves (Oracle and planar).
+
+    ``dc`` is ``[pair_dur_sum, pair_count, dram rd_hit, rd_act, wr_hit,
+    wr_act]``; the demand window pairs fold into the channel counters.
+    """
+    pair_dur, npairs = dc[0], dc[1]
+    if npairs:
+        dc[0] = dc[1] = 0
+        counters[k_route] += pair_dur
+        counters[k_bits] += npairs * bits_pair
+        counters[k_busy] += pair_dur
+        counters[k_tr] += 2 * npairs
+    _fold_dram(dc, *dram_keys)
+
+
+_FUSED_CLASSES: dict = {}
+
+
+def _fused_class(cls: type, fast) -> type:
+    """``cls`` with ``serve`` bound to the fused variant ``fast``.
+
+    One cached subclass per (slice class, variant), same name, no new
+    state.  Binding the fast path on the class rather than as an
+    instance attribute keeps the slice out of a reference cycle with
+    its own bound method (DESIGN.md §7).  A slice is constructed as
+    its fused class (:meth:`SliceBase.__new__`): assigning
+    ``__class__`` later converts the instance's attribute storage to a
+    plain dict, which slows every ``self`` load on the fused path.
+    """
+    fused = _FUSED_CLASSES.get((cls, fast))
+    if fused is None:
+        fused = _FUSED_CLASSES[cls, fast] = type(
+            cls.__name__,
+            (cls,),
+            {
+                "serve": fast,
+                "_reference_cls": cls,
+                "__module__": cls.__module__,
+                "__qualname__": cls.__qualname__,
+            },
+        )
+    return fused
+
+
 class SliceBase:
     """Shared plumbing: channel helpers and DRAM streaming occupancy.
 
@@ -69,6 +143,26 @@ class SliceBase:
     allocation-free primitive (a ``(start, end)`` tuple, no
     ``TransferResult``) — these run two-plus times per demand request.
     """
+
+    #: Fused ``serve`` variants per channel type (see
+    #: :meth:`_bind_fast_path`); ``None`` keeps the reference ``serve``.
+    _serve_fast_optical = None
+    _serve_fast_electrical = None
+    #: Set on fused classes only: the class whose ``serve`` they fuse.
+    _reference_cls: Optional[type] = None
+
+    def __new__(cls, cfg: SystemConfig, chan: ChannelPort, *args, **kwargs):
+        # Every slice takes its channel second.  The exact channel type
+        # picks the fused variant; _bind_fast_path falls back to the
+        # reference class if anything else disqualifies it.
+        chan_type = type(chan)
+        if chan_type is VirtualChannel:
+            fast = cls._serve_fast_optical
+        elif chan_type is ElectricalChannel:
+            fast = cls._serve_fast_electrical
+        else:
+            fast = None
+        return super().__new__(cls if fast is None else _fused_class(cls, fast))
 
     def __init__(self, cfg: SystemConfig, chan: ChannelPort, stats: Stats, name: str) -> None:
         self.cfg = cfg
@@ -95,101 +189,103 @@ class SliceBase:
         so the slice's pre-bound hot-path handle sees the wrapper.  The
         specialized demand binding is dropped at the same time: a
         wrapped ``transfer_window`` must observe every window, so demand
-        windows fall back to routing through it — and the fully inlined
-        ``serve`` fast path (see :meth:`_bind_fast_path`) is removed so
-        the reference implementation (whose windows all route through
-        the wrapper) answers again.
+        windows fall back to routing through it — and the fused
+        ``serve`` (see :meth:`_bind_fast_path`) is unbound so the
+        reference implementation (whose windows all route through the
+        wrapper) answers again.
         """
         self._window = self.chan.transfer_window
         self._dwin = self._demand_data_fallback
-        self.__dict__.pop("serve", None)
+        if self._reference_cls is not None:
+            self.__class__ = self._reference_cls
 
-    def _bind_fast_path(self) -> None:
-        """Install a channel-specialized ``serve`` fast path, if any.
+    def _bind_fast_path(self, dram: DramDevice) -> None:
+        """Prepare the fused ``serve``, or fall back to the reference.
 
-        Concrete slices may provide ``_serve_fast_optical`` /
-        ``_serve_fast_electrical`` — fully inlined serve variants whose
-        channel-window bodies are arithmetic- and accounting-identical
-        to :meth:`ChannelPort.demand_data_window` of the matching
-        channel type.  The match is exact (``type() is``), so a
-        subclassed or wrapped channel keeps the reference ``serve``.
-        The binding is an instance attribute shadowing the class
-        method; :meth:`refresh_channel_binding` removes it so a
-        validated (audit-instrumented) run routes every window through
-        the wrapped ``transfer_window``.
+        The fused variants (``_serve_fast_optical`` /
+        ``_serve_fast_electrical``) inline the matching channel's
+        :meth:`ChannelPort.demand_data_window` and
+        :meth:`DramDevice.access`, arithmetic- and accounting-identical.
+        :meth:`__new__` made the slice its :func:`_fused_class` when the
+        channel type matched exactly; a patched DRAM device or a channel
+        counting into other stats switches it back here, as does
+        :meth:`refresh_channel_binding`, so a validated
+        (audit-instrumented) run routes every window through the
+        wrapped ``transfer_window``.  Otherwise this builds the constant
+        packs and registers the variant's flush (:meth:`_flush_hook`).
         """
         ch = self.chan
         chan_type = type(ch)
-        if chan_type is VirtualChannel:
-            fast = getattr(self, "_serve_fast_optical", None)
-        elif chan_type is ElectricalChannel:
-            fast = getattr(self, "_serve_fast_electrical", None)
-        else:
-            fast = None
-        if fast is None or ch._cdict is not self._cdict:
+        self._fp_dram = _dram_constant_pack(dram)
+        if self._reference_cls is None:
             return
-        self._ch_k_route_data = ch._k_route_data
-        self._ch_k_demand_bits = ch._k_demand_bits
-        self._ch_k_demand_busy = ch._k_demand_busy
-        self._ch_k_transfers = ch._k_transfers
-        self._ch_k_energy = ch._k_energy
+        if ch._cdict is not self._cdict or self._fp_dram is None:
+            self.__class__ = self._reference_cls
+            return
         # Same operands as the reference per-transfer multiply, computed
         # once — the product (and thus the accumulated float) is
         # bit-identical.
-        self._cmd_energy = CMD_BITS * ch._energy_pj_per_bit
-        self._line_energy = self.line_bits * ch._energy_pj_per_bit
+        cmd_energy = CMD_BITS * ch._energy_pj_per_bit
+        line_energy = self.line_bits * ch._energy_pj_per_bit
+        # Channel-side constant pack: the fast serves load all of this
+        # with one tuple unpack instead of a dozen attribute chains.
+        # Every entry is a construction-time constant.
         if chan_type is VirtualChannel:
-            self._ch_k_demux = ch._k_demux
-            self._ch_k_mrr = ch._k_mrr
-            self._cmd_mrr = CMD_BITS * ch._mrr_tuning_fj_per_bit / 1000.0
-            self._line_mrr = self.line_bits * ch._mrr_tuning_fj_per_bit / 1000.0
             degraded_rate = ch._bits_per_ps * EFFECTIVE_BANDWIDTH_FRACTION
             cmd_wom = int(round(CMD_BITS / degraded_rate))
-            self._cmd_dur_wom = cmd_wom if cmd_wom >= 1 else 1
             line_wom = int(round(self.line_bits / degraded_rate))
-            self._line_dur_wom = line_wom if line_wom >= 1 else 1
-            # Channel-side constant pack: the fast serves load all of
-            # this with one tuple unpack instead of ~20 attribute
-            # chains.  Every entry is a construction-time constant.
             self._fp_chan = (
                 ch,
                 self._cdict,
                 ch.wom_coded,
-                self._ch_k_demux,
-                self._ch_k_route_data,
-                self._ch_k_demand_bits,
-                self._ch_k_demand_busy,
-                self._ch_k_transfers,
-                self._ch_k_energy,
-                self._ch_k_mrr,
+                ch._k_demux,
+                ch._k_energy,
+                ch._k_mrr,
                 self._cmd_dur,
                 self._line_dur,
-                self._cmd_dur_wom,
-                self._line_dur_wom,
-                self._cmd_energy,
-                self._line_energy,
-                self._cmd_mrr,
-                self._line_mrr,
-                self.line_bits,
-                CMD_BITS + self.line_bits,
+                cmd_wom if cmd_wom >= 1 else 1,
+                line_wom if line_wom >= 1 else 1,
+                cmd_energy,
+                line_energy,
+                CMD_BITS * ch._mrr_tuning_fj_per_bit / 1000.0,
+                self.line_bits * ch._mrr_tuning_fj_per_bit / 1000.0,
             )
         else:
             self._fp_chan = (
                 ch,
                 self._cdict,
-                self._ch_k_route_data,
-                self._ch_k_demand_bits,
-                self._ch_k_demand_busy,
-                self._ch_k_transfers,
-                self._ch_k_energy,
+                ch._k_energy,
                 self._cmd_dur,
                 self._line_dur,
-                self._cmd_dur + self._line_dur,
-                self._cmd_energy,
-                self._line_energy,
-                CMD_BITS + self.line_bits,
+                cmd_energy,
+                line_energy,
             )
-        self.serve = fast
+        self.stats.register_flush(self._flush_hook())
+
+    def _flush_hook(self):
+        """The optical fused serves' deferred-counter flush."""
+        return partial(_flush_optical_pairs, self._dc, *self._flush_args())
+
+    def _flush_args(self) -> tuple:
+        """Leaf data a deferred-counter flush hook needs.
+
+        ``(counters, route key, demand bits key, demand busy key,
+        transfers key, bits per demand pair, DRAM fold keys)`` — plain
+        dicts and strings only.  A hook built from these references no
+        component, so the :class:`Stats` holding it forms no cycle back
+        to the slice (DESIGN.md §7).
+        """
+        ch = self.chan
+        fpd = self._fp_dram
+        return (
+            self._cdict,
+            ch._k_route_data,
+            ch._k_demand_bits,
+            ch._k_demand_busy,
+            ch._k_transfers,
+            CMD_BITS + self.line_bits,
+            (fpd[16],) + fpd[18:23],
+        )
 
     def _demand_data_fallback(
         self, now: int, bits: int, duration_ps: int, device: int = 0
@@ -231,9 +327,113 @@ class SliceBase:
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         raise NotImplementedError
 
+    def _serve_dram_optical(self, addr: int, is_write: bool, now_ps: int) -> int:
+        """The optical DRAM demand pair, fused: Oracle's whole serve.
+
+        Command window, :meth:`DramDevice.access`, line window — the
+        reference :meth:`DramOnlySlice.serve` body over a
+        :class:`VirtualChannel`, with ``addr`` already a DRAM address.
+        Every window body mirrors ``VirtualChannel.demand_data_window``
+        (same counter keys, same update order, same WOM degradation
+        math, precomputed in :meth:`_bind_fast_path`).  The second
+        window targets the same demux device as the first with nothing
+        touching the channel in between, so its retune check is
+        statically false and elided.  The busy horizon is committed once
+        per pair; the pair's integer counters and DRAM outcomes batch
+        into ``self._dc`` (exact for integer-valued accumulators, folded
+        by :func:`_flush_optical_pairs`); the float energy/MRR
+        accumulators keep their two per-window adds, in order.
+        :meth:`PlanarSlice._serve_fast_optical` delegates DRAM hits here.
+        """
+        (
+            ch, counters, wom, k_demux, k_e, k_mrr,
+            cmd_dur, line_dur, cmd_dur_wom, line_dur_wom,
+            cmd_e, line_e, cmd_mrr, line_mrr,
+        ) = self._fp_chan
+        (
+            d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
+            d_rpb, d_banks, D_ACTIVE, D_IDLE,
+            d_hlat, d_hocc, d_clat, d_cocc, d_xlat, d_xocc,
+            dcd, dk_ref, dk_acc, dk_wr, dk_rd, dk_hit, dk_act,
+        ) = self._fp_dram
+        dc = self._dc
+        start = ch._busy_data
+        if now_ps > start:
+            start = now_ps
+        if ch._dev_data != DEVICE_DRAM:
+            start += FULL_TUNE_PS
+            ch._dev_data = DEVICE_DRAM
+            counters[k_demux] += 1
+        wau = ch._wom_active_until if wom else 0
+        dur = cmd_dur_wom if wom and start < wau else cmd_dur
+        t = start + dur
+        if is_write:
+            # Writes put the data on the channel first; the column write
+            # happens once it lands.
+            dur2 = line_dur_wom if wom and t < wau else line_dur
+            t += dur2
+            ch._busy_data = t
+            dc[0] += dur + dur2  # route + demand busy, batched
+            dc[1] += 1  # demand bits + transfers, batched
+            counters[k_e] += cmd_e
+            counters[k_e] += line_e
+            counters[k_mrr] += cmd_mrr
+            counters[k_mrr] += line_mrr
+            outcome = 4  # dc slots: write row hit, write activation
+        else:
+            outcome = 2  # read row hit, read activation
+        # DramDevice.access, inlined (the address is non-negative by
+        # construction so the reference body's sign check is elided).
+        rt = t
+        if d_refresh:
+            roff = rt % d_rint
+            if roff < d_rwin:
+                dcd[dk_ref] += 1
+                rt += d_rwin - roff
+        row_index = (addr % d_cap) // d_rowb
+        bank = d_banks[row_index % d_nbanks]
+        row = (row_index // d_nbanks) % d_rpb
+        b_busy = bank.busy_until_ps
+        s = rt if rt > b_busy else b_busy
+        if bank.state is D_ACTIVE and bank.open_row == row:
+            bank.row_hits += 1
+            bank.accesses += 1
+            bank.busy_until_ps = s + d_hocc
+            dc[outcome] += 1
+            t2 = s + d_hlat
+        else:
+            if bank.state is D_IDLE:
+                d_lat = d_clat
+                d_occ = d_cocc
+            else:
+                d_lat = d_xlat
+                d_occ = d_xocc
+            bank.activations += 1
+            bank.accesses += 1
+            bank.state = D_ACTIVE
+            bank.open_row = row
+            bank.busy_until_ps = s + d_occ
+            dc[outcome + 1] += 1
+            t2 = s + d_lat
+        if is_write:
+            return t2
+        start = t if t2 < t else t2
+        dur2 = line_dur_wom if wom and start < wau else line_dur
+        end = start + dur2
+        ch._busy_data = end
+        dc[0] += dur + dur2
+        dc[1] += 1
+        counters[k_e] += cmd_e
+        counters[k_e] += line_e
+        counters[k_mrr] += cmd_mrr
+        counters[k_mrr] += line_mrr
+        return end
+
 
 class DramOnlySlice(SliceBase):
     """Oracle: a DRAM device big enough that nothing ever migrates."""
+
+    _serve_fast_optical = SliceBase._serve_dram_optical
 
     def __init__(
         self,
@@ -245,6 +445,11 @@ class DramOnlySlice(SliceBase):
     ) -> None:
         super().__init__(cfg, chan, stats, name)
         self.dram = dram
+        # Deferred integer counter accumulators of the fused serve:
+        # [pair_dur_sum, pair_count, dram rd_hit, rd_act, wr_hit,
+        # wr_act] — see _flush_optical_pairs.
+        self._dc = [0, 0, 0, 0, 0, 0]
+        self._bind_fast_path(dram)
 
     def _dram_timing(self):
         return self.dram.timing
@@ -261,13 +466,39 @@ class DramOnlySlice(SliceBase):
         return dwin(t, self.line_bits, self._line_dur, DEVICE_DRAM)
 
 
+def _flush_electrical_pairs(
+    dc: list, counters, k_route, k_bits, k_busy, k_tr, bits_pair, dram_keys,
+    dpair: int,
+) -> None:
+    """Flush hook of Origin's electrical fast serve.
+
+    Electrical demand pairs are constant-duration, so the pair count
+    ``dc[1]`` alone reconstructs bits/busy/route/transfers exactly
+    (``dc[0]`` is unused); ``dc[2:6]`` are the batched DRAM outcomes.
+    """
+    npairs = dc[1]
+    if npairs:
+        dc[1] = 0
+        counters[k_bits] += npairs * bits_pair
+        counters[k_busy] += npairs * dpair
+        counters[k_route] += npairs * dpair
+        counters[k_tr] += 2 * npairs
+    _fold_dram(dc, *dram_keys)
+
+
 class OriginSlice(DramOnlySlice):
     """Origin: small DRAM; non-resident pages fault to the host.
 
-    Page residency uses LRU over the slice's DRAM page frames.  A fault
-    costs host latency + a PCIe page transfer + writing the page into
-    DRAM through the memory channel (the DMA traffic of Fig. 3b).
+    Page residency uses LRU over the slice's DRAM page frames: the
+    resident dict (page -> dirty) is kept in recency order — a hit
+    moves its page to the end — so the LRU victim is its first entry.
+    A fault costs host latency + a PCIe page transfer + writing the
+    page into DRAM through the memory channel (the DMA traffic of
+    Fig. 3b).
     """
+
+    # Oracle's fused serve skips the residency bookkeeping below.
+    _serve_fast_optical = None
 
     def __init__(
         self,
@@ -282,75 +513,33 @@ class OriginSlice(DramOnlySlice):
         self.host = host
         self.page_bytes = cfg.hetero.page_bytes
         self.num_frames = max(1, dram.capacity_bytes // self.page_bytes)
-        self._resident: dict[int, list[int]] = {}  # page -> [tick, dirty]
-        self._tick = 0
+        self._resident: dict[int, bool] = {}  # page -> dirty, LRU first
         self._c_faults = stats.counter("host.faults")
         self._c_writebacks = stats.counter("host.writebacks")
         self._c_dma_time = stats.counter("host.dma_time_ps")
-        self._bind_fast_path()
-        self._fp_mem = (
-            self.page_bytes,
-            self.num_frames,
-            self._resident,
-            dram.access,
-        )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
-        # Deferred integer counter accumulators for the fast serve
-        # (electrical demand pairs are constant-duration, so a pair
-        # count alone reconstructs bits/busy/route/transfers exactly):
-        # [unused, pair_count, dram rd_hit, rd_act, wr_hit, wr_act].
-        self._dc = [0, 0, 0, 0, 0, 0]
-        stats.register_flush(self._flush_deferred)
+        self._fp_mem = (self.page_bytes, self.num_frames, self._resident)
 
-    def _flush_deferred(self) -> None:
-        """Fold the fast serve's batched counts into the counters."""
-        dc = self._dc
-        _, npairs, rd_hit, rd_act, wr_hit, wr_act = dc
-        if npairs:
-            dc[1] = 0
-            counters = self._cdict
-            dpair = self._cmd_dur + self._line_dur
-            counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
-            counters[self._ch_k_demand_busy] += npairs * dpair
-            counters[self._ch_k_route_data] += npairs * dpair
-            counters[self._ch_k_transfers] += 2 * npairs
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
+    def _flush_hook(self):
+        return partial(
+            _flush_electrical_pairs, self._dc, *self._flush_args(),
+            self._cmd_dur + self._line_dur,
+        )
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         page = addr // self.page_bytes
-        self._tick += 1
         ready = now_ps
-        entry = self._resident.get(page)
-        if entry is not None:
-            entry[0] = self._tick
-        elif len(self._resident) < self.num_frames:
+        resident = self._resident
+        dirty = resident.pop(page, None)
+        if dirty is not None:
+            resident[page] = dirty  # most recently used: to the end
+        elif len(resident) < self.num_frames:
             # Free frames left: the page was staged before kernel launch
             # (bulk host->GPU copy ahead of time), no demand fault.
-            self._resident[page] = [self._tick, False]
+            resident[page] = False
         else:
             ready = self._fault(page, now_ps)
         if is_write:
-            self._resident[page][1] = True
+            resident[page] = True
         return super().serve(addr, is_write, ready)
 
     def _serve_fast_electrical(self, addr: int, is_write: bool, now_ps: int) -> int:
@@ -363,12 +552,8 @@ class OriginSlice(DramOnlySlice):
         is untouched — it still routes through :meth:`_fault` and the
         generic channel helpers.  Keep in lock-step with :meth:`serve`.
         """
-        (
-            ch, counters,
-            k_route, k_bits, k_busy, k_tr, k_e,
-            cmd_dur, line_dur, dpair, cmd_e, line_e, bits_pair,
-        ) = self._fp_chan
-        page_bytes, num_frames, resident, dram_access = self._fp_mem
+        ch, counters, k_e, cmd_dur, line_dur, cmd_e, line_e = self._fp_chan
+        page_bytes, num_frames, resident = self._fp_mem
         (
             d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
             d_rpb, d_banks, D_ACTIVE, D_IDLE,
@@ -377,20 +562,18 @@ class OriginSlice(DramOnlySlice):
         ) = self._fp_dram
         dc = self._dc
         page = addr // page_bytes
-        tick = self._tick + 1
-        self._tick = tick
         ready = now_ps
-        entry = resident.get(page)
-        if entry is not None:
-            entry[0] = tick
+        dirty = resident.pop(page, None)
+        if dirty is not None:
+            resident[page] = dirty  # most recently used: to the end
         elif len(resident) < num_frames:
             # Free frames left: the page was staged before kernel launch
             # (bulk host->GPU copy ahead of time), no demand fault.
-            resident[page] = [tick, False]
+            resident[page] = False
         else:
             ready = self._fault(page, now_ps)
         if is_write:
-            resident[page][1] = True
+            resident[page] = True
         # Command beat (demand/data window, inlined); the channel's busy
         # horizon commits once per serve, and the two windows' integer
         # counters merge into single adds (exact for integer-valued
@@ -402,44 +585,17 @@ class OriginSlice(DramOnlySlice):
         if is_write:
             # Writes put the data on the channel first; the column write
             # happens once it lands.
-            end = t + line_dur
-            ch._busy = end
+            t += line_dur
+            ch._busy = t
             dc[1] += 1
             counters[k_e] += cmd_e
             counters[k_e] += line_e
-            # DramDevice.access, inlined (write; the address is
-            # non-negative — serve is reached through the SM's demand
-            # path which rejects negative addresses).
-            if d_refresh:
-                roff = end % d_rint
-                if roff < d_rwin:
-                    dcd[dk_ref] += 1
-                    end += d_rwin - roff
-            row_index = (addr % d_cap) // d_rowb
-            bank = d_banks[row_index % d_nbanks]
-            row = (row_index // d_nbanks) % d_rpb
-            b_busy = bank.busy_until_ps
-            s = end if end > b_busy else b_busy
-            if bank.state is D_ACTIVE and bank.open_row == row:
-                bank.row_hits += 1
-                bank.accesses += 1
-                bank.busy_until_ps = s + d_hocc
-                dc[4] += 1
-                return s + d_hlat
-            if bank.state is D_IDLE:
-                d_lat = d_clat
-                d_occ = d_cocc
-            else:
-                d_lat = d_xlat
-                d_occ = d_xocc
-            bank.activations += 1
-            bank.accesses += 1
-            bank.state = D_ACTIVE
-            bank.open_row = row
-            bank.busy_until_ps = s + d_occ
-            dc[5] += 1
-            return s + d_lat
-        # DramDevice.access, inlined (read).
+            outcome = 4  # dc slots: write row hit, write activation
+        else:
+            outcome = 2  # read row hit, read activation
+        # DramDevice.access, inlined (the address is non-negative —
+        # serve is reached through the SM's demand path which rejects
+        # negative addresses).
         rt = t
         if d_refresh:
             roff = rt % d_rint
@@ -455,7 +611,7 @@ class OriginSlice(DramOnlySlice):
             bank.row_hits += 1
             bank.accesses += 1
             bank.busy_until_ps = s + d_hocc
-            dc[2] += 1
+            dc[outcome] += 1
             t2 = s + d_hlat
         else:
             if bank.state is D_IDLE:
@@ -469,8 +625,10 @@ class OriginSlice(DramOnlySlice):
             bank.state = D_ACTIVE
             bank.open_row = row
             bank.busy_until_ps = s + d_occ
-            dc[3] += 1
+            dc[outcome + 1] += 1
             t2 = s + d_lat
+        if is_write:
+            return t2
         start = t2 if t2 > t else t
         end = start + line_dur
         ch._busy = end
@@ -481,14 +639,14 @@ class OriginSlice(DramOnlySlice):
 
     def _fault(self, page: int, now_ps: int) -> int:
         self._c_faults.add(1)
-        if len(self._resident) >= self.num_frames:
-            victim = min(self._resident, key=lambda p: self._resident[p][0])
-            _, dirty = self._resident.pop(victim)
-            if dirty:
+        resident = self._resident
+        if len(resident) >= self.num_frames:
+            victim = next(iter(resident))  # least recently used
+            if resident.pop(victim):
                 # Dirty victim: write the page back to the host first.
                 self._c_writebacks.add(1)
                 now_ps = self.host.transfer(now_ps, self.page_bytes)
-        self._resident[page] = [self._tick, False]
+        resident[page] = False
         # Host-side latency + PCIe transfer of the page.
         arrive = self.host.transfer(now_ps, self.page_bytes)
         # DMA the page into DRAM through the memory channel.
@@ -555,7 +713,6 @@ class PlanarSlice(HeteroSliceBase):
         self.page_bytes = page
         self._c_migrations = stats.counter("mem.migrations")
         self._c_swaps = stats.counter("mem.swaps")
-        self._bind_fast_path()
         # Memory-side constant pack for the fast serve (containers are
         # stable identities; their contents mutate in place).
         self._fp_mem = (
@@ -565,51 +722,16 @@ class PlanarSlice(HeteroSliceBase):
             self.mapper._dram_slot,
             self.mapper._xp_page_of_slot,
             self.mapper,
-            self.dram.access,
             self.xp.read,
             self.xp.write,
             self.hotness,
         )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
         # Deferred integer counter accumulators for the fast serve:
         # [pair_dur_sum, pair_count, dram rd_hit, rd_act, wr_hit,
         # wr_act].  Folded into the shared counters on demand — exact
         # for integer-valued accumulators (see Stats.register_flush).
         self._dc = [0, 0, 0, 0, 0, 0]
-        stats.register_flush(self._flush_deferred)
-
-    def _flush_deferred(self) -> None:
-        """Fold the fast serve's batched counts into the counters."""
-        dc = self._dc
-        pair_dur, npairs, rd_hit, rd_act, wr_hit, wr_act = dc
-        if npairs:
-            dc[0] = dc[1] = 0
-            counters = self._cdict
-            counters[self._ch_k_route_data] += pair_dur
-            counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
-            counters[self._ch_k_demand_busy] += pair_dur
-            counters[self._ch_k_transfers] += 2 * npairs
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
+        self._bind_fast_path(dram)
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         page, offset = divmod(addr, self.page_bytes)
@@ -651,26 +773,16 @@ class PlanarSlice(HeteroSliceBase):
         """:meth:`serve` with the optical demand windows fully inlined.
 
         Arithmetic- and accounting-identical to :meth:`serve` over a
-        :class:`VirtualChannel`: every window body mirrors
-        ``VirtualChannel.demand_data_window`` (same counter keys, same
-        update order, same WOM degradation math — the degraded
-        durations and energy/MRR increments are the same expressions
-        precomputed in :meth:`SliceBase._bind_fast_path`).  The second
-        window of each pair targets the same demux device as the
-        first with nothing touching the channel in between, so its
-        retune check is statically false and elided.  Keep in
-        lock-step with :meth:`serve`.
+        :class:`VirtualChannel`.  A DRAM hit is exactly Oracle's serve
+        at the mapped DRAM address, so it delegates to the shared
+        :meth:`SliceBase._serve_dram_optical`; the XPoint path inlines
+        its window pair the same way (see there for the batching and
+        the elided second retune check).  Keep in lock-step with
+        :meth:`serve`.
         """
         (
-            ch, counters, wom,
-            k_demux, k_route, k_bits, k_busy, k_tr, k_e, k_mrr,
-            cmd_dur, line_dur, cmd_dur_wom, line_dur_wom,
-            cmd_e, line_e, cmd_mrr, line_mrr,
-            line_bits, bits_pair,
-        ) = self._fp_chan
-        (
             page_bytes, num_groups, slots_per_group, dram_slot,
-            xp_overrides, mapper, dram_access, xp_read, xp_write, hot,
+            xp_overrides, mapper, xp_read, xp_write, hot,
         ) = self._fp_mem
         page = addr // page_bytes
         offset = addr - page * page_bytes
@@ -678,117 +790,16 @@ class PlanarSlice(HeteroSliceBase):
         slot = page // num_groups
         if slot >= slots_per_group:
             raise mapper._capacity_error(page)
-        dc = self._dc
-        # Command beat (demand/data window, inlined).  The channel's
-        # busy horizon is committed once per serve — between the paired
-        # windows nothing else reads it — and the two windows' integer
-        # counters (route/bits/busy/transfers) merge into single adds
-        # (exact for integer-valued accumulators); the float energy/MRR
-        # accumulators keep their two per-window adds in order.
-        start = ch._busy_data
-        if now_ps > start:
-            start = now_ps
-        wau = ch._wom_active_until if wom else 0
         if dram_slot[group] == slot:
-            (
-                d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
-                d_rpb, d_banks, D_ACTIVE, D_IDLE,
-                d_hlat, d_hocc, d_clat, d_cocc, d_xlat, d_xocc,
-                dcd, dk_ref, dk_acc, dk_wr, dk_rd, dk_hit, dk_act,
-            ) = self._fp_dram
-            if ch._dev_data != DEVICE_DRAM:
-                start += FULL_TUNE_PS
-                ch._dev_data = DEVICE_DRAM
-                counters[k_demux] += 1
-            dur = cmd_dur_wom if wom and start < wau else cmd_dur
-            t = start + dur
-            dram_addr = group * page_bytes + offset
-            if is_write:
-                # Line beat rides the channel, then the column write.
-                dur2 = line_dur_wom if wom and t < wau else line_dur
-                end = t + dur2
-                ch._busy_data = end
-                dc[0] += dur + dur2  # route + demand busy, batched
-                dc[1] += 1  # demand bits + transfers, batched
-                counters[k_e] += cmd_e
-                counters[k_e] += line_e
-                counters[k_mrr] += cmd_mrr
-                counters[k_mrr] += line_mrr
-                # DramDevice.access, inlined (write; the address is
-                # non-negative by construction so the reference body's
-                # sign check is elided).
-                if d_refresh:
-                    roff = end % d_rint
-                    if roff < d_rwin:
-                        dcd[dk_ref] += 1
-                        end += d_rwin - roff
-                row_index = (dram_addr % d_cap) // d_rowb
-                bank = d_banks[row_index % d_nbanks]
-                row = (row_index // d_nbanks) % d_rpb
-                b_busy = bank.busy_until_ps
-                s = end if end > b_busy else b_busy
-                if bank.state is D_ACTIVE and bank.open_row == row:
-                    bank.row_hits += 1
-                    bank.accesses += 1
-                    bank.busy_until_ps = s + d_hocc
-                    dc[4] += 1  # write row-hit, batched
-                    return s + d_hlat
-                if bank.state is D_IDLE:
-                    d_lat = d_clat
-                    d_occ = d_cocc
-                else:
-                    d_lat = d_xlat
-                    d_occ = d_xocc
-                bank.activations += 1
-                bank.accesses += 1
-                bank.state = D_ACTIVE
-                bank.open_row = row
-                bank.busy_until_ps = s + d_occ
-                dc[5] += 1  # write activation, batched
-                return s + d_lat
-            # DramDevice.access, inlined (read).
-            rt = t
-            if d_refresh:
-                roff = rt % d_rint
-                if roff < d_rwin:
-                    dcd[dk_ref] += 1
-                    rt += d_rwin - roff
-            row_index = (dram_addr % d_cap) // d_rowb
-            bank = d_banks[row_index % d_nbanks]
-            row = (row_index // d_nbanks) % d_rpb
-            b_busy = bank.busy_until_ps
-            s = rt if rt > b_busy else b_busy
-            if bank.state is D_ACTIVE and bank.open_row == row:
-                bank.row_hits += 1
-                bank.accesses += 1
-                bank.busy_until_ps = s + d_hocc
-                dc[2] += 1  # read row-hit, batched
-                t2 = s + d_hlat
-            else:
-                if bank.state is D_IDLE:
-                    d_lat = d_clat
-                    d_occ = d_cocc
-                else:
-                    d_lat = d_xlat
-                    d_occ = d_xocc
-                bank.activations += 1
-                bank.accesses += 1
-                bank.state = D_ACTIVE
-                bank.open_row = row
-                bank.busy_until_ps = s + d_occ
-                dc[3] += 1  # read activation, batched
-                t2 = s + d_lat
-            start = t if t2 < t else t2
-            dur2 = line_dur_wom if wom and start < wau else line_dur
-            end = start + dur2
-            ch._busy_data = end
-            dc[0] += dur + dur2
-            dc[1] += 1
-            counters[k_e] += cmd_e
-            counters[k_e] += line_e
-            counters[k_mrr] += cmd_mrr
-            counters[k_mrr] += line_mrr
-            return end
+            return self._serve_dram_optical(
+                group * page_bytes + offset, is_write, now_ps
+            )
+        (
+            ch, counters, wom, k_demux, k_e, k_mrr,
+            cmd_dur, line_dur, cmd_dur_wom, line_dur_wom,
+            cmd_e, line_e, cmd_mrr, line_mrr,
+        ) = self._fp_chan
+        dc = self._dc
         # XPoint access path (PlanarMapper._xp_page, inlined).
         xp_page = xp_overrides[group].get(slot)
         if xp_page is None:
@@ -796,6 +807,10 @@ class PlanarSlice(HeteroSliceBase):
                 raise KeyError(f"slot 0 of group {group} has no XPoint page yet")
             xp_page = group * (slots_per_group - 1) + (slot - 1)
         xp_addr = xp_page * page_bytes + offset
+        start = ch._busy_data
+        if now_ps > start:
+            start = now_ps
+        wau = ch._wom_active_until if wom else 0
         if ch._dev_data != DEVICE_XPOINT:
             start += FULL_TUNE_PS
             ch._dev_data = DEVICE_XPOINT
@@ -911,6 +926,27 @@ class PlanarSlice(HeteroSliceBase):
         self.seq_gen.confirm()
 
 
+def _flush_two_level(
+    dc: list, counters, k_route, k_bits, k_busy, k_tr, bits_pair, dram_keys,
+    k_mig_bits, k_mig_busy, line_bits: int,
+) -> None:
+    """Flush hook of the two-level fast serve.
+
+    ``dc`` is :func:`_flush_optical_pairs`'s layout plus
+    ``[migration window duration sum, migration window count]``.
+    """
+    pair_dur, npairs, mig_dur, nmig = dc[0], dc[1], dc[6], dc[7]
+    if npairs or nmig:
+        dc[0] = dc[1] = dc[6] = dc[7] = 0
+        counters[k_route] += pair_dur + mig_dur
+        counters[k_bits] += npairs * bits_pair
+        counters[k_busy] += pair_dur
+        counters[k_tr] += 2 * npairs + nmig
+        counters[k_mig_bits] += nmig * line_bits
+        counters[k_mig_busy] += mig_dur
+    _fold_dram(dc, *dram_keys)
+
+
 class TwoLevelSlice(HeteroSliceBase):
     """Two-level memory mode (Fig. 7b): DRAM as a direct-mapped cache."""
 
@@ -922,9 +958,7 @@ class TwoLevelSlice(HeteroSliceBase):
         self._c_hits = stats.counter("mem.dram_cache_hits")
         self._c_misses = stats.counter("mem.dram_cache_misses")
         self._c_migrations = stats.counter("mem.migrations")
-        self._bind_fast_path()
         directory = self.directory
-        mig_keys = chan._kind_keys[RequestKind.MIGRATION]
         self._fp_mem = (
             self.line_bytes,
             directory,
@@ -932,63 +966,29 @@ class TwoLevelSlice(HeteroSliceBase):
             directory._dirty,
             directory._tag,
             directory.num_sets,
-            dram.access,
             xp.read,
             xp.write,
             self._c_hits.name,
             self._c_misses.name,
             self._c_migrations.name,
-            mig_keys[0],
-            mig_keys[1],
             # The fully inlined miss body covers only the baseline data
             # movement; platforms with auto-read/write or reverse-write
             # capabilities route misses through the reference _miss.
             not (caps.auto_rw or caps.reverse_write),
         )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
-        self._k_mig_bits = mig_keys[0]
-        self._k_mig_busy = mig_keys[1]
         # Deferred integer counter accumulators for the fast serve:
         # [demand pair duration sum, demand pair count,
         #  dram rd_hit, rd_act, wr_hit, wr_act,
         #  migration window duration sum, migration window count].
         self._dc = [0, 0, 0, 0, 0, 0, 0, 0]
-        stats.register_flush(self._flush_deferred)
+        self._bind_fast_path(dram)
 
-    def _flush_deferred(self) -> None:
-        """Fold the fast serve's batched counts into the counters."""
-        dc = self._dc
-        pair_dur, npairs, rd_hit, rd_act, wr_hit, wr_act, mig_dur, nmig = dc
-        if npairs or nmig:
-            dc[0] = dc[1] = dc[6] = dc[7] = 0
-            counters = self._cdict
-            counters[self._ch_k_route_data] += pair_dur + mig_dur
-            counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
-            counters[self._ch_k_demand_busy] += pair_dur
-            counters[self._ch_k_transfers] += 2 * npairs + nmig
-            counters[self._k_mig_bits] += nmig * self.line_bits
-            counters[self._k_mig_busy] += mig_dur
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
+    def _flush_hook(self):
+        mig_bits, mig_busy = self.chan._kind_keys[RequestKind.MIGRATION]
+        return partial(
+            _flush_two_level, self._dc, *self._flush_args(),
+            mig_bits, mig_busy, self.line_bits,
+        )
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         line_index = addr // self.line_bytes
@@ -1021,16 +1021,13 @@ class TwoLevelSlice(HeteroSliceBase):
         :meth:`serve`.
         """
         (
-            ch, counters, wom,
-            k_demux, k_route, k_bits, k_busy, k_tr, k_e, k_mrr,
+            ch, counters, wom, k_demux, k_e, k_mrr,
             cmd_dur, line_dur, cmd_dur_wom, line_dur_wom,
             cmd_e, line_e, cmd_mrr, line_mrr,
-            line_bits, bits_pair,
         ) = self._fp_chan
         (
             line_bytes, directory, dvalid, ddirty, dtag, num_sets,
-            dram_access, xp_read, xp_write,
-            k_hits, k_misses, k_migrations, k_mig_bits, k_mig_busy,
+            xp_read, xp_write, k_hits, k_misses, k_migrations,
             miss_inline,
         ) = self._fp_mem
         (

@@ -19,7 +19,7 @@ from repro.gpu.interconnect import Interconnect
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.warp import Warp, WarpLane
 from repro.sim.audit import Auditor, ValidatingEngine
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, weak_method
 from repro.sim.stats import Stats
 from repro.workloads.source import TraceSource
 from repro.workloads.spec import WorkloadSpec
@@ -189,14 +189,17 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
         ]
         self._warps: List[Warp] = []
         self._remaining = 0
+        # The warps and the lane call back up into this model; a weak
+        # hook keeps that from making the model a reference cycle.
+        warp_done = weak_method(self._warp_done)
         for w, trace in enumerate(streams if streams is not None else traces):
             sm = self.sms[w % len(self.sms)]
-            self._warps.append(Warp(w, sm, trace, self._warp_done, recorder))
+            self._warps.append(Warp(w, sm, trace, warp_done, recorder))
         self._remaining = len(self._warps)
         # All warp events ride the engine's typed lane; the Warp objects
         # remain the inspectable per-warp surface the lane syncs into.
         self._lane = WarpLane(
-            self.engine, self._warps, self.stats, self._warp_done, recorder
+            self.engine, self._warps, self.stats, warp_done, recorder
         )
         self._tenant_finish_ps: Dict[str, int] = {}
         if auditor is not None:

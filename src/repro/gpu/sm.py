@@ -99,11 +99,18 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         # ``self.l1``/``self.l2`` per access.
         self._l1_access = l1.access if l1 is not None else None
         self._l2_access = l2.access if l2 is not None else None
-        #: The warp lane's memory entry point: the uncached configuration
-        #: (every perf-suite case) skips the cache probes entirely.
-        self.fast_access = (
-            self._access_uncached if l1 is None and l2 is None else self.access_memory
-        )
+
+    @property
+    def fast_access(self):
+        """The warp lane's memory entry point: the uncached configuration
+        (every perf-suite case) skips the cache probes entirely.
+
+        Resolved on read, not stored: a bound method kept on the
+        instance would make every SM a reference cycle (DESIGN.md §7).
+        """
+        if self._l1_access is None and self._l2_access is None:
+            return self._access_uncached
+        return self.access_memory
 
     def issue_burst(self, instructions: int) -> int:
         """Claim issue slots for ``instructions``; returns finish time."""

@@ -37,6 +37,7 @@ from repro.sim.engine import (
     LANE_WARP_BITS,
     LANE_WARP_MASK,
     Engine,
+    weak_method,
 )
 from repro.sim.stats import Stats
 from repro.workloads.source import WarpStream
@@ -210,6 +211,7 @@ class WarpLane:
         "_recorder",
         "_on_done",
         "_cdict",
+        "__weakref__",  # the engine holds the lane's hooks weakly
     )
 
     def __init__(
@@ -297,7 +299,12 @@ class WarpLane:
         self._recorder = recorder
         self._on_done = on_done
         self._cdict = stats.counters
-        engine.attach_warp_lane(n, self._step_one, self._drain)
+        # Weak hooks: the lane reaches the engine (directly and through
+        # its warps' SMs), so strong ones would make a cycle.  The
+        # lane's owner keeps it alive for the run.
+        engine.attach_warp_lane(
+            n, weak_method(self._step_one), weak_method(self._drain)
+        )
 
     # -- slow-path stepping (start, guarded/validating drains) ----------
 

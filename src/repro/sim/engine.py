@@ -46,6 +46,7 @@ Lane contract (for lane implementors, i.e. ``gpu/warp.py``):
 from __future__ import annotations
 
 import heapq
+import weakref
 from array import array
 from typing import Callable, Optional
 
@@ -87,6 +88,27 @@ def freq_ghz_to_period_ps(freq_ghz: float) -> int:
     if freq_ghz <= 0:
         raise ValueError(f"frequency must be positive, got {freq_ghz}")
     return max(1, int(round(1_000.0 / freq_ghz)))
+
+
+def weak_method(method: Callable) -> Callable:
+    """``method`` called through a weak reference to its owner.
+
+    For hooks a lower layer holds on behalf of the object above it —
+    the warp lane's ``step``/``drain`` on the engine, a warp's done
+    callback into its model.  Holding the bound method itself would
+    close a reference cycle back to the owner, so a finished model
+    would wait for the cyclic collector instead of being freed by
+    reference counting (DESIGN.md §7).  The owner must outlive every
+    call; the hook costs one weak dereference per call, so reserve it
+    for per-drain and per-warp calls, not per-event ones.
+    """
+    owner = weakref.ref(method.__self__)
+    func = method.__func__
+
+    def hook(*args):
+        return func(owner(), *args)
+
+    return hook
 
 
 class Engine:
@@ -162,7 +184,9 @@ class Engine:
         :meth:`run` (falling back to per-event ``step`` dispatch when
         absent).  The drain reads the generic heap head itself each
         iteration, so it needs no limit arguments — it runs lane
-        events while they precede the generic head and returns.
+        events while they precede the generic head and returns.  The
+        engine holds both hooks strongly: a lane that references the
+        engine passes them through :func:`weak_method`.
         """
         if self._lane_step is not None:
             raise RuntimeError("a warp lane is already attached")

@@ -183,7 +183,11 @@ class Stats:
         sum produce the same float, exactly) and fold them in on demand.
         Every read surface — :meth:`get` and :meth:`snapshot` — runs the
         hooks first, so batching is never observable.  Hooks must be
-        idempotent (zero their accumulators before adding).
+        idempotent (zero their accumulators before adding), and must not
+        reference the component that registers it: every component
+        holds this ``Stats``, so that would be a reference cycle.  Build
+        the hook from the accumulators, the counter dict and key strings
+        (a ``functools.partial`` over a module function; DESIGN.md §7).
         """
         self._flush_hooks.append(hook)
 

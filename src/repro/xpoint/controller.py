@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Optional
 
 from repro.config import XPointConfig
@@ -44,6 +45,29 @@ class BufferedOp:
         return cls(addr=addr, is_write=True, ready_ps=ready_ps)
 
 
+def _flush_media_counts(
+    deferred: list, cd, k_acc, k_reads, k_writes, k_ecc_decodes
+) -> None:
+    """Fold batched fused-path media counts into the counters.
+
+    Idempotent; registered with the shared :class:`Stats`, which runs
+    it before any counter read (``get``/``snapshot``).  It holds only
+    the accumulator list, the counter dict and key strings — never the
+    controller — so the registration forms no reference cycle.
+    """
+    n = deferred[0]
+    if n:
+        deferred[0] = 0
+        cd[k_acc] += n
+        cd[k_reads] += n
+        cd[k_ecc_decodes] += n
+    n = deferred[1]
+    if n:
+        deferred[1] = 0
+        cd[k_acc] += n
+        cd[k_writes] += n
+
+
 class XPointController:
     """Logic-layer controller stacked on the XPoint die."""
 
@@ -55,7 +79,7 @@ class XPointController:
         "_c_ecc_encodes", "_c_wbuf_stalls", "_c_snarfs", "_cdict",
         "_k_wbuf_hits", "_k_ecc_decodes", "_k_ecc_encodes", "_translate",
         "_media_access", "_k_media_acc", "_k_media_reads",
-        "_k_media_writes", "_def_reads", "_def_stall_writes", "_fp",
+        "_k_media_writes", "_def", "_fp",
     )
 
     def __init__(
@@ -107,13 +131,16 @@ class XPointController:
         # Deferred fused-path counts: the media accesses performed by
         # the fused read/drain bodies batch here and fold into the
         # shared counters on demand (Stats.register_flush) — exact,
-        # since every one is an integer-valued +1.
+        # since every one is an integer-valued +1: [reads, stall
+        # writes].
         self._k_media_acc = self.device._c_accesses.name
         self._k_media_reads = self.device._c_reads.name
         self._k_media_writes = self.device._c_writes.name
-        self._def_reads = 0
-        self._def_stall_writes = 0
-        self.stats.register_flush(self._flush_deferred)
+        self._def = [0, 0]
+        self.stats.register_flush(partial(
+            _flush_media_counts, self._def, self._cdict, self._k_media_acc,
+            self._k_media_reads, self._k_media_writes, self._k_ecc_decodes,
+        ))
         tr = self.translator
         dev = self.device
         self._fp = (
@@ -131,26 +158,6 @@ class XPointController:
             dev._c_writes.name,
             dev.write_counts,
         )
-
-    def _flush_deferred(self) -> None:
-        """Fold batched fused-path media counts into the counters.
-
-        Idempotent; registered with the shared :class:`Stats`, which
-        runs it before any counter read (``get``/``snapshot``).
-        """
-        n = self._def_reads
-        if n:
-            self._def_reads = 0
-            cd = self._cdict
-            cd[self._k_media_acc] += n
-            cd[self._k_media_reads] += n
-            cd[self._k_ecc_decodes] += n
-        n = self._def_stall_writes
-        if n:
-            self._def_stall_writes = 0
-            cd = self._cdict
-            cd[self._k_media_acc] += n
-            cd[self._k_media_writes] += n
 
     def _drain_one_write(self, now_ps: int) -> None:
         """Retire the oldest buffered write to the media."""
@@ -208,7 +215,7 @@ class XPointController:
             t = start
         finish = t + read_ps
         bank_busy[bank] = finish
-        self._def_reads += 1  # media access + read + ECC decode, batched
+        self._def[0] += 1  # media access + read + ECC decode, batched
         self._busy_until_ps = start
         return finish
 
@@ -258,7 +265,7 @@ class XPointController:
                 t = b
             finish = t + write_ps
             bank_busy[bank] = finish
-            self._def_stall_writes += 1  # media access + write, batched
+            self._def[1] += 1  # media access + write, batched
             wcounts[media_row] += 1
             if gap.record_write():
                 # Start-Gap rotation: copy the line adjacent to the gap

@@ -158,6 +158,15 @@ CLEAN_CASES = [
     ("Oracle", "stream_scan", MemoryMode.PLANAR),
 ]
 
+# Every platform x mode, read-mostly and write-heavy (stream_scan_r25
+# is 75% writes: it drives every fused serve's write branch).
+PARITY_CASES = [
+    (platform, workload, mode)
+    for platform in PLATFORMS
+    for mode in MemoryMode
+    for workload in ("pagerank", "stream_scan_r25")
+]
+
 
 class TestCleanRuns:
     @pytest.mark.parametrize("platform,workload,mode", CLEAN_CASES)
@@ -168,8 +177,12 @@ class TestCleanRuns:
         assert outcome.violations == ()
         assert outcome.checks > 20
 
-    def test_audited_result_is_bit_identical(self):
-        job = SimulationJob("Ohm-BW", "pagerank", MemoryMode.PLANAR, SMALL)
+    @pytest.mark.parametrize("platform,workload,mode", PARITY_CASES)
+    def test_audited_result_is_bit_identical(self, platform, workload, mode):
+        # The plain run takes each slice's fused serve; the audited run
+        # goes through refresh_channel_binding, i.e. the reference serve
+        # — so this is the fast-vs-reference parity check, per platform.
+        job = SimulationJob(platform, workload, mode, SMALL)
         plain = execute_job(job)
         audited = execute_job_audited(job)
         assert audited.fingerprint == plain.fingerprint()

@@ -13,7 +13,14 @@ from repro.core.functions import (
 )
 from repro.core.handshake import DdrMonitor, DdrSequenceGenerator, SwapState
 from repro.core.platforms import PLATFORMS, build_memory_system
-from repro.core.slices import PlanarSlice, TwoLevelSlice
+from repro.core.slices import (
+    DramOnlySlice,
+    OriginSlice,
+    PlanarSlice,
+    TwoLevelSlice,
+)
+from repro.dram.device import DramDevice
+from repro.hoststorage.pcie import HostLink
 from repro.sim.records import MemRequest
 from repro.sim.stats import Stats
 
@@ -139,6 +146,49 @@ class TestPlatformBuilders:
     def test_base_platform_no_dual_routes(self):
         ms = build_memory_system(PLATFORMS["Ohm-base"], default_config(), Stats())
         assert all(not s.chan.dual_routes for s in ms.slices)
+
+
+# Platform x mode pairs that keep the reference serve, with the reason.
+# Anything else must bind a fused serve: a platform that silently falls
+# back to the reference path loses 1.4-2.3x and nothing else notices.
+REFERENCE_SERVE_ALLOWED = {
+    ("Hetero", MemoryMode.PLANAR): "electrical hetero: no fused planar serve",
+    ("Hetero", MemoryMode.TWO_LEVEL): "electrical hetero: no fused two-level serve",
+}
+
+
+class TestFusedServeCoverage:
+    @pytest.mark.parametrize("mode", list(MemoryMode))
+    @pytest.mark.parametrize("name", list(PLATFORMS))
+    def test_production_slices_bind_a_fused_serve(self, name, mode):
+        platform = PLATFORMS[name]
+        reference = {"dram_oracle": DramOnlySlice, "dram_small": OriginSlice}.get(
+            platform.memory,
+            PlanarSlice if mode is MemoryMode.PLANAR else TwoLevelSlice,
+        )
+        ms = build_memory_system(platform, default_config(mode), Stats())
+        fused = [s.serve.__func__ is not reference.serve for s in ms.slices]
+        if (name, mode) in REFERENCE_SERVE_ALLOWED:
+            assert not any(fused), "allowlisted pair now fused: drop its entry"
+        else:
+            assert all(fused)
+
+    def test_refresh_channel_binding_restores_the_reference(self):
+        ms = build_memory_system(PLATFORMS["Oracle"], default_config(), Stats())
+        s = ms.slices[0]
+        s.refresh_channel_binding()
+        assert type(s) is DramOnlySlice
+        assert s.serve.__func__ is DramOnlySlice.serve
+
+    def test_origin_over_optical_keeps_its_reference_serve(self):
+        # Oracle's fused optical serve has no residency bookkeeping, so
+        # an OriginSlice must not inherit it.
+        cfg = default_config()
+        stats = Stats()
+        chan = build_memory_system(PLATFORMS["Oracle"], cfg, stats).slices[0].chan
+        dram = DramDevice(cfg.dram_timing, 1 << 20, stats)
+        s = OriginSlice(cfg, chan, dram, HostLink(cfg.host, stats), stats, "mc0")
+        assert s.serve.__func__ is OriginSlice.serve
 
 
 class TestMemorySystemRouting:

@@ -1,5 +1,8 @@
 """GPU substrate tests: caches, interconnect, SM issue, warps."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +14,12 @@ from repro.core.platforms import PLATFORMS
 from repro.gpu.cache import SetAssocCache
 from repro.gpu.gpu import GpuModel
 from repro.gpu.interconnect import Interconnect
+from repro.harness.executor import RunConfig, SimulationJob, traces_for
 from repro.sim.records import MemRequest
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, get_workload_def
+from repro.workloads.source import MaterializedTraceSource
 from repro.workloads.synthetic import WarpTrace
+from repro.workloads.trace import FileTraceSource, TraceMeta, save_stream
 
 
 def tiny_traces(n_warps=4, n_acc=6, line=128):
@@ -155,6 +161,46 @@ class TestGpuModel:
         model = GpuModel(PLATFORMS["Ohm-base"], cfg, get_workload("backp"), tiny_traces())
         result = model.run()
         assert 0.0 <= result.migration_bandwidth_fraction <= 1.0
+
+
+class TestModelLifetime:
+    """A finished model is freed by reference counting alone.
+
+    ``run()`` suspends the cyclic collector for its drain, so any cycle
+    through a model keeps the whole model — slices, devices, traces —
+    alive until the next full collection (DESIGN.md §7).
+    """
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["materialized", "file"])
+    @pytest.mark.parametrize(
+        "platform,mode",
+        [
+            ("Oracle", MemoryMode.PLANAR),
+            ("Origin", MemoryMode.PLANAR),
+            ("Ohm-BW", MemoryMode.PLANAR),
+            ("Ohm-BW", MemoryMode.TWO_LEVEL),
+        ],
+    )
+    def test_finished_model_is_freed_by_refcount(self, platform, mode, streamed, tmp_path):
+        job = SimulationJob(platform, "pagerank", mode, RunConfig(num_warps=8, accesses_per_warp=8))
+        cfg = job.resolved_config()
+        spec = get_workload_def("pagerank").spec
+        traces = traces_for(job, cfg)
+        source = MaterializedTraceSource(traces)
+        if streamed:
+            meta = TraceMeta("pagerank", platform, mode.value, cfg.gpu.line_bytes, len(traces), spec)
+            source = FileTraceSource(save_stream(tmp_path / "t.jsonl.gz", meta, source))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = GpuModel(PLATFORMS[platform], cfg, spec, source)
+            model.run()
+            refs = [weakref.ref(o) for o in (model, model.memory.slices[0], source)]
+            del model, source
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestStreamingMultiprocessor:
