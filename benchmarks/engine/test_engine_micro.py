@@ -1,11 +1,11 @@
 """Microbenchmarks for the engine primitives, each in isolation.
 
-The perf suite (``repro perf``) reports one headline events/sec number
-per workload; when that regresses, these microbenches localize the loss
-to a layer — the generic heap, the warp lane, or the cache probe —
-without re-profiling the whole model.  Workloads are sized so a round
-finishes in milliseconds; pytest-benchmark's OPS column is the figure
-of merit.
+The repository benchmark (``perfbench/``) reports end-to-end and
+per-memory-layer figures per workload; when the simulation core
+regresses, these microbenches localize the loss to an engine primitive
+— the generic heap, the warp lane, or the cache probe — without
+re-profiling the whole model.  Workloads are sized so a round finishes
+in milliseconds; pytest-benchmark's OPS column is the figure of merit.
 """
 
 from __future__ import annotations

@@ -21,16 +21,14 @@ Usage examples::
     python -m repro.cli run --platform Ohm-BW --workload pagerank --validate
     python -m repro.cli audit --smoke
     python -m repro.cli audit --jobs 4 --format json -o audit.json
-    python -m repro.cli perf -o BENCH_perf.json
     python -m repro.cli list
 
 ``--jobs N`` fans the experiment's simulation matrix out over N worker
 processes; ``--cache-dir`` persists every result so repeated
 invocations are near-instant (cache hits are logged).  ``export`` emits
 an experiment's rows as json or csv via the structured emitters.
-``perf`` benchmarks the simulator itself (events/sec per calibrated
-case, written to ``BENCH_perf.json``); ``run --profile`` wraps one
-simulation in cProfile for hot-path hunts.
+``run --profile`` wraps one simulation in cProfile for hot-path hunts;
+``perfbench/run.py`` is the performance benchmark.
 
 The ``batch`` group fronts the sharded batch scheduler (DESIGN.md
 section 9): ``batch run`` shards one or more experiments' job matrices
@@ -470,132 +468,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if report["ok"] else 1
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """`repro perf`: benchmark the simulator core (events/sec)."""
-    from repro.harness.perf import (
-        PERF_CASES,
-        SMOKE_CASES,
-        bench_payload,
-        compare_bench,
-        compare_bench_memory,
-        git_revision,
-        load_bench,
-        run_suite,
-        write_bench,
-    )
-
-    def _mib(n):
-        return f"{n / 2**20:.1f}" if n is not None else "n/a"
-
-    cases = SMOKE_CASES if args.smoke else PERF_CASES
-    if args.journal:
-        try:
-            Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SystemExit(f"repro: --journal: {exc}")
-    measurements = run_suite(cases, repeats=args.repeats, journal=args.journal)
-    rows = []
-    for m in measurements:
-        speedup = m.speedup_vs_baseline
-        rows.append(
-            (
-                m.case,
-                m.events,
-                m.wall_s * 1e3,
-                m.events_per_sec,
-                m.baseline_events_per_sec or 0.0,
-                f"{speedup:.2f}x" if speedup else "n/a",
-                _mib(m.trace_peak_bytes),
-                _mib(m.peak_rss_bytes),
-            )
-        )
-    print(
-        format_table(
-            [
-                "case",
-                "events",
-                "wall_ms",
-                "events_per_sec",
-                "baseline_eps",
-                "speedup",
-                "trace_peak_mib",
-                "peak_rss_mib",
-            ],
-            rows,
-            title="simulation-core performance (best of "
-            f"{args.repeats} runs per case)",
-        )
-    )
-    from datetime import datetime, timezone
-
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")  # reprolint: allow(R3) perf-history metadata stamp; never feeds a fingerprint
-    if args.output:
-        payload = write_bench(
-            args.output, measurements, timestamp=timestamp, git_rev=git_revision()
-        )
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        payload = bench_payload(measurements)
-    if args.compare:
-        old = load_bench(args.compare)
-        if old is None:
-            raise SystemExit(f"repro: --compare: cannot read {args.compare}")
-        comparisons, regressions = compare_bench(old, payload)
-        if not comparisons:
-            print(
-                f"--compare: no cases in common with {args.compare}; "
-                "nothing to gate",
-                file=sys.stderr,
-            )
-            return 0
-        print(
-            format_table(
-                ["case", "old_eps", "new_eps", "ratio", "verdict"],
-                [
-                    (
-                        c.case,
-                        c.old_events_per_sec,
-                        c.new_events_per_sec,
-                        f"{c.ratio:.3f}",
-                        "REGRESSION" if c in regressions else "ok",
-                    )
-                    for c in comparisons
-                ],
-                title=f"perf comparison vs {args.compare} (gate: >10% loss)",
-            )
-        )
-        mem_comparisons, mem_regressions = compare_bench_memory(old, payload)
-        if mem_comparisons:
-            print(
-                format_table(
-                    ["case", "field", "old_mib", "new_mib", "ratio", "verdict"],
-                    [
-                        (
-                            c.case,
-                            c.field,
-                            _mib(c.old_bytes),
-                            _mib(c.new_bytes),
-                            f"{c.ratio:.3f}",
-                            "REGRESSION" if c in mem_regressions else "ok",
-                        )
-                        for c in mem_comparisons
-                    ],
-                    title=f"peak-memory comparison vs {args.compare} "
-                    "(gate: >25% growth)",
-                )
-            )
-        if regressions or mem_regressions:
-            names = ", ".join(
-                dict.fromkeys(
-                    [c.case for c in regressions]
-                    + [c.case for c in mem_regressions]
-                )
-            )
-            print(f"repro perf: regression gate FAILED: {names}", file=sys.stderr)
-            return 1
-    return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -1814,33 +1686,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to this file instead of stdout",
     )
     p_audit.set_defaults(fn=cmd_audit)
-
-    p_perf = sub.add_parser(
-        "perf", help="benchmark the simulator core (events/sec)"
-    )
-    p_perf.add_argument(
-        "--smoke", action="store_true",
-        help="quick CI-sized cases instead of figure-sized ones",
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed runs per case; the best is reported (default: 3)",
-    )
-    p_perf.add_argument(
-        "-o", "--output", default="BENCH_perf.json",
-        help="write the before/after payload here (default: BENCH_perf.json)",
-    )
-    p_perf.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="journal each finished case to this JSONL file and resume "
-        "from it on re-invocation (skips already-measured cases)",
-    )
-    p_perf.add_argument(
-        "--compare", default=None, metavar="OLD_JSON",
-        help="diff this run's numbers against an earlier BENCH_perf.json "
-        "and exit non-zero on a >10%% events/sec regression in any case",
-    )
-    p_perf.set_defaults(fn=cmd_perf)
 
     p_lint = sub.add_parser(
         "lint",

@@ -189,12 +189,12 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
         ]
         self._warps: List[Warp] = []
         self._remaining = 0
-        # The warps and the lane call back up into this model; a weak
-        # hook keeps that from making the model a reference cycle.
+        # The lane calls back up into this model; a weak hook keeps
+        # that from making the model a reference cycle.
         warp_done = weak_method(self._warp_done)
         for w, trace in enumerate(streams if streams is not None else traces):
             sm = self.sms[w % len(self.sms)]
-            self._warps.append(Warp(w, sm, trace, warp_done, recorder))
+            self._warps.append(Warp(w, sm, trace))
         self._remaining = len(self._warps)
         # All warp events ride the engine's typed lane; the Warp objects
         # remain the inspectable per-warp surface the lane syncs into.

@@ -8,8 +8,7 @@ sleeps until the response timestamp.
 :meth:`StreamingMultiprocessor.access_memory` is the hot entry point:
 warps hand it a bare ``(addr, is_write)`` pair, so cache hits complete
 without ever allocating a :class:`~repro.sim.records.MemRequest` — a
-request object is built only for background L2 writebacks and for the
-:meth:`submit_memory_request` compatibility wrapper.
+request object is built only for background L2 writebacks.
 """
 
 from __future__ import annotations
@@ -72,11 +71,7 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         # ``serve_addr`` dispatch hop disappears from the per-event path.
         from repro.core.memsystem import MemorySystem
 
-        self._route_inline = type(memory) is MemorySystem
-        if self._route_inline:
-            self._ms_slices = memory.slices
-            self._ms_page_bytes = memory.page_bytes
-            self._ms_num_slices = memory._num_slices
+        if type(memory) is MemorySystem:
             # One-tuple constant pack for the uncached fast path: one
             # unpack replaces a dozen attribute chains per access.
             self._fp = (
@@ -103,7 +98,7 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
     @property
     def fast_access(self):
         """The warp lane's memory entry point: the uncached configuration
-        (every perf-suite case) skips the cache probes entirely.
+        (every job the harness runs) skips the cache probes entirely.
 
         Resolved on read, not stored: a bound method kept on the
         instance would make every SM a reference cycle (DESIGN.md §7).
@@ -215,10 +210,4 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
             lat.max_value = value
         lat.count += 1
         lat.total += value
-        return complete
-
-    def submit_memory_request(self, req: MemRequest) -> int:
-        """Compatibility wrapper over :meth:`access_memory`."""
-        complete = self.access_memory(req.addr, req.is_write)
-        req.complete_ps = complete
         return complete

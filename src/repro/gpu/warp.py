@@ -6,21 +6,17 @@ bursts from its warps; a warp blocked on memory costs nothing until its
 response arrives — this is warp-level latency hiding, and it is what
 converts memory-system improvements into IPC (Fig. 16).
 
-Two implementations share those semantics:
-
-* :class:`Warp` — the classic callback pair (``_next_burst`` /
-  ``_issue_memory``) scheduled on the engine's generic heap.  Kept as
-  the reference implementation and for driving a warp standalone.
-* :class:`WarpLane` — the fused stepper behind the engine's typed warp
-  lane (see ``sim/engine.py``).  All warps' progress lives in slotted
-  columns (cursor/retired arrays, per-warp trace columns) and one
-  table-driven loop steps whichever warp the lane heap surfaces next.
-  Because ``StreamingMultiprocessor.access_memory`` returns completion
-  times synchronously, each step computes its successor event inline
-  and replaces the heap head in a single sift — no tuples, closures or
-  bound-method dispatch per event.  Event order is bit-identical to the
-  callback pair: both phases remain distinct timeline events with the
-  same ``(time, seq)`` stamps the golden fingerprints freeze.
+One stepper implements those semantics: :class:`WarpLane`, behind the
+engine's typed warp lane (see ``sim/engine.py``).  All warps' progress
+lives in slotted columns (cursor/retired arrays, per-warp trace
+columns) and one table-driven loop steps whichever warp the lane heap
+surfaces next.  Because ``StreamingMultiprocessor.access_memory``
+returns completion times synchronously, each step computes its
+successor event inline and replaces the heap head in a single sift —
+no tuples, closures or bound-method dispatch per event.  The burst and
+memory-issue phases remain distinct timeline events with the
+``(time, seq)`` stamps the golden fingerprints freeze.  :class:`Warp`
+is the inspectable per-warp record the lane syncs its columns into.
 """
 
 from __future__ import annotations
@@ -70,36 +66,21 @@ _SM_METHODS = _capture_sm_methods()
 
 
 class Warp:
-    """Replays one warp's access stream through its SM and memory.
+    """One warp's inspectable record: identity, trace and progress.
 
     ``trace`` is either a materialized :class:`WarpTrace` or a
     :class:`~repro.workloads.source.WarpStream` (bounded-lookahead
-    block iterator).  Both are kept on ``self.trace`` — the audit layer
-    duck-types against it (``tenant`` / ``len`` / ``well_formed``).
-    Block pulls are lazy, so a Warp and the :class:`WarpLane` can share
-    one stream: only whichever of the two actually drives the warp
-    consumes it.
-
-    An optional :class:`~repro.workloads.trace.TraceRecorder` captures
-    every executed ``(gap, addr, write)`` at memory-issue time — the
-    record side of trace record/replay.  The hot path pays one
-    attribute check per access when no recorder is attached.
+    block iterator); the audit layer duck-types against it (``tenant``
+    / ``len`` / ``well_formed``).  :class:`WarpLane` drives the warp and
+    mirrors ``instructions_retired``, ``_cursor`` (ops consumed) and
+    ``finished`` back into this record.
     """
 
     __slots__ = (
         "warp_id",
         "sm",
         "trace",
-        "on_done",
-        "_stream",
-        "_gaps",
-        "_addrs",
-        "_writes",
-        "_num_ops",
-        "_base",
-        "_at",
         "_cursor",
-        "_recorder",
         "instructions_retired",
         "finished",
     )
@@ -109,71 +90,13 @@ class Warp:
         warp_id: int,
         sm: "StreamingMultiprocessor",
         trace: Union[WarpTrace, WarpStream],
-        on_done: Callable[["Warp"], None],
-        recorder: Optional["TraceRecorder"] = None,
     ) -> None:
         self.warp_id = warp_id
         self.sm = sm
         self.trace = trace
-        self.on_done = on_done
-        if isinstance(trace, WarpStream):
-            # Lazy: the first burst pulls the first block.
-            self._stream: Optional[WarpStream] = trace
-            self._gaps: List[int] = []
-            self._addrs: List[int] = []
-            self._writes: List[bool] = []
-            self._num_ops = 0
-        else:
-            self._stream = None
-            self._gaps, self._addrs, self._writes = trace.columns
-            self._num_ops = len(self._addrs)
-        self._base = 0  # ops consumed in earlier blocks
-        self._at = sm.engine.at
-        self._cursor = 0  # index within the current block
-        self._recorder = recorder
+        self._cursor = 0
         self.instructions_retired = 0
         self.finished = False
-
-    def start(self) -> None:
-        self._next_burst()
-
-    def _advance(self) -> bool:
-        """Pull the next block; False when the stream is exhausted."""
-        if self._stream is None:
-            return False
-        block = self._stream.next_block()
-        if block is None:
-            return False
-        self._base += self._num_ops
-        self._gaps, self._addrs, self._writes = block
-        self._num_ops = len(self._addrs)
-        self._cursor = 0
-        return True
-
-    def _next_burst(self) -> None:
-        cursor = self._cursor
-        if cursor >= self._num_ops:
-            if self._advance():
-                cursor = 0
-            else:
-                self.finished = True
-                self._cursor = self._base + self._num_ops
-                self.on_done(self)
-                return
-        gap = self._gaps[cursor]
-        burst_end = self.sm.issue_burst(gap + 1)  # +1: the memory inst
-        self.instructions_retired += gap + 1
-        self._at(burst_end, self._issue_memory)
-
-    def _issue_memory(self) -> None:
-        cursor = self._cursor
-        addr = self._addrs[cursor]
-        write = self._writes[cursor]
-        if self._recorder is not None:
-            self._recorder.record(self.warp_id, self._gaps[cursor], addr, write)
-        complete = self.sm.access_memory(addr, write)
-        self._cursor = cursor + 1
-        self._at(complete, self._next_burst)
 
 
 class WarpLane:
@@ -185,9 +108,14 @@ class WarpLane:
     guarded/validating drains) and ``drain`` (the fused bulk loop the
     full drain delegates runs of lane events to).
 
-    The :class:`Warp` objects stay the user-visible surface — the lane
+    The :class:`Warp` objects are the user-visible surface — the lane
     mirrors ``instructions_retired``/``_cursor``/``finished`` back into
     them at finish and via :meth:`sync`.
+
+    An optional :class:`~repro.workloads.trace.TraceRecorder` captures
+    every executed ``(gap, addr, write)`` at memory-issue time — the
+    record side of trace record/replay.  The hot path pays one
+    attribute check per access when no recorder is attached.
     """
 
     __slots__ = (
@@ -281,9 +209,7 @@ class WarpLane:
             trace = w.trace
             if isinstance(trace, WarpStream):
                 # Streamed warp: start empty, the first burst pulls the
-                # first block (lazy, so the Warp object sharing this
-                # stream never double-consumes it — only one of the two
-                # drives the warp).
+                # first block.
                 self._streams.append(trace)
                 self._nops.append(0)
                 self._gaps.append([])
@@ -311,9 +237,8 @@ class WarpLane:
     def start_all(self) -> None:
         """Issue every warp's first burst synchronously, in warp order.
 
-        Mirrors the classic ``warp.start()`` loop: the first burst is
-        not an event, it runs at the current time and schedules the
-        warp's first memory issue on the lane.
+        The first burst is not an event: it runs at the current time
+        and schedules the warp's first memory issue on the lane.
         """
         for w in range(self._num_warps):
             self._burst(w, self._engine.now)

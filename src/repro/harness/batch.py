@@ -59,7 +59,7 @@ class BatchError(RuntimeError):
 
 
 # --------------------------------------------------------------------
-# JSONL journal helpers (shared with harness/perf.py's resume journal)
+# JSONL journal helpers (shared with harness/audit.py's resume journal)
 # --------------------------------------------------------------------
 
 def append_jsonl(path: Union[str, Path], record: dict) -> None:

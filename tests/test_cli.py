@@ -76,22 +76,6 @@ class TestCommands:
         assert "cumulative" in out  # cProfile table header
         assert "exec time" in out  # the normal report still prints
 
-    def test_perf_smoke_writes_bench_json(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_perf.json"
-        assert main(
-            ["perf", "--smoke", "--repeats", "1", "-o", str(out_file)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "events_per_sec" in out
-        payload = json.loads(out_file.read_text())
-        assert payload["unit"] == "events_per_sec"
-        assert {m["case"] for m in payload["current"]} == {
-            "headline_smoke", "two_level_smoke", "origin_smoke",
-            "gemm_smoke", "mix_smoke",
-        }
-        for m in payload["current"]:
-            assert m["events_per_sec"] > 0
-
     def test_experiment_fig15(self, capsys):
         assert main(["experiment", "fig15", "--quick"]) == 0
         assert "planar" in capsys.readouterr().out

@@ -15,7 +15,6 @@ from repro.gpu.cache import SetAssocCache
 from repro.gpu.gpu import GpuModel
 from repro.gpu.interconnect import Interconnect
 from repro.harness.executor import RunConfig, SimulationJob, traces_for
-from repro.sim.records import MemRequest
 from repro.workloads.registry import get_workload, get_workload_def
 from repro.workloads.source import MaterializedTraceSource
 from repro.workloads.synthetic import WarpTrace
@@ -203,18 +202,38 @@ class TestModelLifetime:
                 gc.enable()
 
 
-class TestStreamingMultiprocessor:
-    def test_submit_memory_request_wrapper(self):
-        # The request-object API must agree with the bare-pair fast path
-        # and record the completion on the request.
-        cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
-        sm = model.sms[0]
-        req = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        complete = sm.submit_memory_request(req)
-        assert req.complete_ps == complete
-        assert complete > 0
-        twin = GpuModel(
-            PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces()
+class TestEventCount:
+    """Every access is exactly two engine events: a burst and a memory issue.
+
+    The count is fixed by the trace alone, whatever the platform, mode or
+    trace source — only the simulated clock may vary between them.
+    """
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["materialized", "file"])
+    @pytest.mark.parametrize(
+        "platform,mode",
+        [
+            ("Origin", MemoryMode.PLANAR),
+            ("Ohm-BW", MemoryMode.PLANAR),
+            ("Ohm-base", MemoryMode.TWO_LEVEL),
+        ],
+    )
+    def test_two_events_per_access(self, platform, mode, streamed, tmp_path):
+        warps, accesses = 48, 32
+        job = SimulationJob(
+            platform, "pagerank", mode, RunConfig(num_warps=warps, accesses_per_warp=accesses)
         )
-        assert twin.sms[0].access_memory(0, False) == complete
+        cfg = job.resolved_config()
+        spec = get_workload_def("pagerank").spec
+        traces = traces_for(job, cfg)
+        counts = []
+        for run in range(2):
+            source = MaterializedTraceSource(traces)
+            if streamed:
+                meta = TraceMeta("pagerank", platform, mode.value, cfg.gpu.line_bytes, len(traces), spec)
+                source = FileTraceSource(save_stream(tmp_path / f"t{run}.jsonl.gz", meta, source))
+            model = GpuModel(PLATFORMS[platform], cfg, spec, source)
+            model.run()
+            assert model.engine.pending() == 0
+            counts.append(model.engine.events_processed)
+        assert counts[0] == counts[1] == 2 * warps * accesses

@@ -68,8 +68,8 @@ EXEMPT_BASE_NAMES: FrozenSet[str] = frozenset({
 #
 # Banned call chains (matched on the dotted tail, so both
 # ``datetime.now`` and ``datetime.datetime.now`` hit).  The harness
-# package is exempt: leases, cache GC and perf history legitimately
-# read the wall clock — none of it feeds a fingerprint.
+# package is exempt: leases, cache GC and shard/service timing
+# legitimately read the wall clock — none of it feeds a fingerprint.
 WALL_CLOCK_TAILS: Tuple[str, ...] = (
     "time.time", "time.time_ns",
     "time.monotonic", "time.monotonic_ns",
